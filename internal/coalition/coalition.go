@@ -39,6 +39,18 @@ type SocialGame interface {
 	TotalCost() float64
 }
 
+// LowerBounder is an optional Game extension that lets the Selfish
+// dynamics skip Share evaluations that cannot win. ShareLowerBound(agent,
+// s) must never exceed the value Share(agent, s) would return in the
+// same state, in floating point, not just in exact arithmetic; a game
+// with no useful bound returns math.Inf(-1). A strategy whose bound
+// already reaches the best share so far minus epsilon cannot pass the
+// strict improvement test, so skipping it leaves every outcome — the
+// assignment, switches and passes — unchanged.
+type LowerBounder interface {
+	ShareLowerBound(agent, s int) float64
+}
+
 // Rule selects which deviations the dynamics accept.
 type Rule int
 
@@ -130,6 +142,7 @@ func Run(g Game, init []int, opts Options) (Result, error) {
 		assign[a] = s
 	}
 
+	lb, _ := g.(LowerBounder)
 	res := Result{}
 	order := make([]int, n)
 	for i := range order {
@@ -142,7 +155,7 @@ func Run(g Game, init []int, opts Options) (Result, error) {
 		}
 		moved := false
 		for _, a := range order {
-			if bestResponse(g, assign, a, o) {
+			if bestResponse(g, lb, assign, a, o) {
 				moved = true
 				res.Switches++
 			}
@@ -157,8 +170,9 @@ func Run(g Game, init []int, opts Options) (Result, error) {
 }
 
 // bestResponse moves agent a to its best strictly-improving strategy, if
-// any, and reports whether it moved.
-func bestResponse(g Game, assign []int, a int, o Options) bool {
+// any, and reports whether it moved. lb, when non-nil, is g's lower
+// bound, used to skip strategies that cannot win under the Selfish rule.
+func bestResponse(g Game, lb LowerBounder, assign []int, a int, o Options) bool {
 	cur := assign[a]
 	switch o.Rule {
 	case Social:
@@ -182,10 +196,12 @@ func bestResponse(g Game, assign []int, a int, o Options) bool {
 		assign[a] = bestS
 		return true
 	default: // Selfish
-		curShare := g.Share(a, cur)
-		bestS, bestShare := cur, curShare
+		bestS, bestShare := cur, g.Share(a, cur)
 		for s := 0; s < g.NumStrategies(); s++ {
 			if s == cur {
+				continue
+			}
+			if lb != nil && lb.ShareLowerBound(a, s) >= bestShare-o.Epsilon {
 				continue
 			}
 			if sh := g.Share(a, s); sh < bestShare-o.Epsilon {

@@ -205,7 +205,10 @@ type chargerGame struct {
 	pds bool // scheme is PDS (otherwise ESS semantics)
 }
 
-var _ coalition.SocialGame = (*chargerGame)(nil)
+var (
+	_ coalition.SocialGame   = (*chargerGame)(nil)
+	_ coalition.LowerBounder = (*chargerGame)(nil)
+)
 
 // SessionSlots returns CCSGA's session-slot layout for the instance behind
 // cm: chargerOf maps each slot to its charger index, firstSlot maps each
@@ -490,6 +493,18 @@ func (g *chargerGame) Share(i, s int) float64 {
 	cost := charging + moveSum
 	surplusPer := (sigmaSum - cost) / float64(cnt)
 	return g.sigma[i] - surplusPer
+}
+
+// ShareLowerBound implements coalition.LowerBounder. A PDS share is
+// myMove + charging·mine/purch, and the second term is >= 0 (fee, tariff
+// and tour cost are all >= 0), so the rounded share is >= the moving
+// cost. Under ESS a member's share can fall below its moving cost, so
+// there is no bound.
+func (g *chargerGame) ShareLowerBound(i, s int) float64 {
+	if !g.pds {
+		return math.Inf(-1)
+	}
+	return g.cm.MovingCost(i, g.chargerOf[s])
 }
 
 // Move implements coalition.Game.

@@ -225,7 +225,7 @@ func (s *Schedule) MergeSameCharger() {
 // demands, the device-to-charger moving-cost matrix, and per-device
 // standalone (noncooperative) costs. Build one per Instance and share it
 // across algorithm runs; it is safe for concurrent reads. AddDevice and
-// RemoveDevice patch the tables in place for streaming workloads — they
+// RemoveDevices patch the tables in place for streaming workloads — they
 // must not race with readers, so synchronize mutation externally.
 type CostModel struct {
 	inst *Instance
@@ -250,12 +250,12 @@ type CostModel struct {
 }
 
 // mutationListener receives post-commit notifications for the CostModel
-// delta ops. Indices follow the model's post-mutation order: deviceAdded
-// refers to the new last device, deviceRemoved(i) to the index that was
-// just deleted (devices after it have shifted down one).
+// delta ops. deviceAdded refers to the new last device; devicesRemoved
+// gets the strictly ascending pre-removal indices that were just deleted
+// (the survivors have closed ranks in order).
 type mutationListener interface {
 	deviceAdded()
-	deviceRemoved(i int)
+	devicesRemoved(idx []int)
 	deviceUpdated(i int)
 	tariffSet(j int)
 }
@@ -311,8 +311,16 @@ func (cm *CostModel) deviceRow(d Device) (row []float64, standalone float64, sta
 // must re-rank singletons without recomputing unchanged move costs).
 func (cm *CostModel) standaloneFor(d Device, row []float64) (float64, int) {
 	best, bestJ := math.Inf(1), -1
-	for j, c := range cm.inst.Chargers {
+	for j := range cm.inst.Chargers {
+		c := &cm.inst.Chargers[j]
 		if c.Capacity > 0 && d.Demand/c.Efficiency > c.Capacity*(1+1e-12) {
+			continue
+		}
+		// The tariff and a mobile charger's travel are >= 0, so the cost
+		// below is >= Fee + row[j] in floating point too: a charger whose
+		// fee and travel alone reach the best cannot win the strict test,
+		// and skipping its tariff evaluation changes no bit.
+		if c.Fee+row[j] >= best {
 			continue
 		}
 		cost := c.Fee + c.Tariff.Price(d.Demand/c.Efficiency) + row[j]
@@ -362,9 +370,7 @@ func (cm *CostModel) AddDevice(d Device) error {
 
 // RemoveDevice deletes device i from the model (and its instance),
 // preserving the order — and therefore the indices — of the remaining
-// devices. No cost is recomputed: the remaining rows shift down in place.
-// Removing the last device leaves a temporarily empty model, valid only
-// as a staging state between mutations.
+// devices. It is RemoveDevices with one index.
 //
 // Index-shift semantics, pinned by TestWarmStartSurvivesRemoveReAdd:
 // removing device i decrements the index of every device after it, and a
@@ -377,18 +383,54 @@ func (cm *CostModel) AddDevice(d Device) error {
 // never touched by device mutations, which is what keeps the carrier's
 // remembered charger indices valid across any add/remove sequence.
 func (cm *CostModel) RemoveDevice(i int) error {
+	return cm.RemoveDevices([]int{i})
+}
+
+// RemoveDevices deletes the devices at the strictly ascending indices
+// idx in one pass, preserving the order of the survivors. No cost is
+// recomputed: the remaining rows close ranks in place, so the tables are
+// bit-identical to removing the same devices one at a time (highest
+// index first) and to a fresh NewCostModel over the shrunken instance.
+// Every index is validated before anything is mutated; on an error the
+// model is untouched. Removing every device leaves a temporarily empty
+// model, valid only as a staging state between mutations.
+func (cm *CostModel) RemoveDevices(idx []int) error {
 	n := len(cm.inst.Devices)
-	if i < 0 || i >= n {
-		return fmt.Errorf("core: remove device %d of %d", i, n)
+	for k, i := range idx {
+		if i < 0 || i >= n {
+			return fmt.Errorf("core: remove device %d of %d", i, n)
+		}
+		if k > 0 && i <= idx[k-1] {
+			return fmt.Errorf("core: remove devices: index %d after %d (need strictly ascending)", i, idx[k-1])
+		}
 	}
-	cm.inst.Devices = append(cm.inst.Devices[:i], cm.inst.Devices[i+1:]...)
-	cm.move = append(cm.move[:i], cm.move[i+1:]...)
-	cm.standalone = append(cm.standalone[:i], cm.standalone[i+1:]...)
-	cm.standaloneCharger = append(cm.standaloneCharger[:i], cm.standaloneCharger[i+1:]...)
+	if len(idx) == 0 {
+		return nil
+	}
+	cm.inst.Devices = removeRows(cm.inst.Devices, idx, 1)
+	cm.move = removeRows(cm.move, idx, 1)
+	cm.standalone = removeRows(cm.standalone, idx, 1)
+	cm.standaloneCharger = removeRows(cm.standaloneCharger, idx, 1)
 	if cm.listener != nil {
-		cm.listener.deviceRemoved(i)
+		cm.listener.devicesRemoved(idx)
 	}
 	return nil
+}
+
+// removeRows deletes rows idx (strictly ascending, in range) from s,
+// where row i is s[i*stride:(i+1)*stride], shifting each surviving run
+// once and zeroing the vacated tail.
+func removeRows[T any](s []T, idx []int, stride int) []T {
+	w := idx[0] * stride
+	for k, i := range idx {
+		end := len(s)
+		if k+1 < len(idx) {
+			end = idx[k+1] * stride
+		}
+		w += copy(s[w:], s[(i+1)*stride:end])
+	}
+	clear(s[w:])
+	return s[:w]
 }
 
 // UpdateDevice replaces device i in place — the "demand changed" (or

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -13,7 +14,7 @@ import (
 // frontier only instead of sweeping every device against every slot.
 //
 // The state attaches to a CostModel as its mutation listener: AddDevice,
-// RemoveDevice, UpdateDevice and SetTariff report which session slots
+// RemoveDevices, UpdateDevice and SetTariff report which session slots
 // they dirtied (the slots whose aggregates changed). ScheduleRepair then
 // repairs from the previous equilibrium under the clean-slot invariant:
 // a slot no delta touched has the same aggregates as at the last
@@ -55,6 +56,9 @@ type RepairState struct {
 	// change, so a stamped entry is bit-identical to recomputation. This
 	// is what makes a frontier member's full best-response cheap: only the
 	// dirty slots' shares are recomputed, the clean columns are reads.
+	// The n×slots tables are allocated by the state's first repair (nil
+	// until then): a fresh memo is all-invalid anyway, and a state that
+	// only ever falls back never pays for one.
 	joinShare []float64
 	joinStamp []uint32
 	slotEpoch []uint32 // starts at 1; stamp 0 is never valid
@@ -110,29 +114,35 @@ func (rs *RepairState) deviceAdded() {
 	rs.share = append(rs.share, 0)
 	rs.game.cur = append(rs.game.cur, -1)
 	rs.game.sigma = append(rs.game.sigma, 0) // set when the device is seated
-	rs.joinShare = append(rs.joinShare, make([]float64, rs.memoSlots)...)
-	rs.joinStamp = append(rs.joinStamp, make([]uint32, rs.memoSlots)...)
+	if rs.joinShare != nil {
+		rs.joinShare = append(rs.joinShare, make([]float64, rs.memoSlots)...)
+		rs.joinStamp = append(rs.joinStamp, make([]uint32, rs.memoSlots)...)
+	}
 	rs.unseeded++
 	if rs.cm.HasCapacity() {
 		rs.layoutSuspect = true // total demand grew; slot counts may change
 	}
 }
 
-func (rs *RepairState) deviceRemoved(i int) {
+func (rs *RepairState) devicesRemoved(idx []int) {
 	if !rs.primed {
 		return
 	}
-	if s := rs.assign[i]; s >= 0 {
-		rs.markDirty(s) // the slot's aggregates are rebuilt at solve time
-	} else {
-		rs.unseeded--
+	for _, i := range idx {
+		if s := rs.assign[i]; s >= 0 {
+			rs.markDirty(s) // the slot's aggregates are rebuilt at solve time
+		} else {
+			rs.unseeded--
+		}
 	}
-	rs.assign = append(rs.assign[:i], rs.assign[i+1:]...)
-	rs.share = append(rs.share[:i], rs.share[i+1:]...)
-	rs.game.cur = append(rs.game.cur[:i], rs.game.cur[i+1:]...)
-	rs.game.sigma = append(rs.game.sigma[:i], rs.game.sigma[i+1:]...)
-	rs.joinShare = append(rs.joinShare[:i*rs.memoSlots], rs.joinShare[(i+1)*rs.memoSlots:]...)
-	rs.joinStamp = append(rs.joinStamp[:i*rs.memoSlots], rs.joinStamp[(i+1)*rs.memoSlots:]...)
+	rs.assign = removeRows(rs.assign, idx, 1)
+	rs.share = removeRows(rs.share, idx, 1)
+	rs.game.cur = removeRows(rs.game.cur, idx, 1)
+	rs.game.sigma = removeRows(rs.game.sigma, idx, 1)
+	if rs.joinShare != nil {
+		rs.joinShare = removeRows(rs.joinShare, idx, rs.memoSlots)
+		rs.joinStamp = removeRows(rs.joinStamp, idx, rs.memoSlots)
+	}
 	if rs.cm.HasCapacity() {
 		rs.layoutSuspect = true
 	}
@@ -143,8 +153,8 @@ func (rs *RepairState) deviceUpdated(i int) {
 		return
 	}
 	rs.game.sigma[i], _ = rs.cm.StandaloneCost(i)
-	for k := i * rs.memoSlots; k < (i+1)*rs.memoSlots; k++ {
-		rs.joinStamp[k] = 0 // the device's own parameters entered every cached share
+	if rs.joinStamp != nil {
+		clear(rs.joinStamp[i*rs.memoSlots : (i+1)*rs.memoSlots]) // the device's own parameters entered every cached share
 	}
 	if s := rs.assign[i]; s >= 0 {
 		// The device's own contributions changed, so its slot is dirty —
@@ -283,10 +293,17 @@ func (rs *RepairState) prime(g *chargerGame, assign []int) {
 	rs.share = rs.share[:len(assign)]
 	rs.baselineFilled = false // per-device bars fill at the first repair
 	// Fresh memo: all stamps invalid (0 < every epoch), filled lazily as
-	// repairs evaluate candidates.
+	// repairs evaluate candidates. A state that already has memo tables
+	// re-zeroes their stamps here, inside the full solve this prime
+	// follows; a state that has never repaired gets them from its first
+	// repair.
 	rs.memoSlots = len(g.chargerOf)
-	rs.joinShare = make([]float64, len(assign)*rs.memoSlots)
-	rs.joinStamp = make([]uint32, len(assign)*rs.memoSlots)
+	if rs.joinShare != nil {
+		size := len(assign) * rs.memoSlots
+		rs.joinShare = slices.Grow(rs.joinShare[:0], size)[:size]
+		rs.joinStamp = slices.Grow(rs.joinStamp[:0], size)[:size]
+		clear(rs.joinStamp)
+	}
 	rs.slotEpoch = make([]uint32, rs.memoSlots)
 	for s := range rs.slotEpoch {
 		rs.slotEpoch[s] = 1
@@ -490,6 +507,10 @@ func (rs *RepairState) repair(opts CCSGAOptions) (*CCSGAResult, error) {
 		// wasted partial sweep (batch deltas on small instances hit this).
 		return nil, &fallbackError{fmt.Sprintf("repair frontier %d devices exceeds cap %d", base, maxFrontier)}
 	}
+	if rs.joinShare == nil {
+		rs.joinShare = make([]float64, n*rs.memoSlots)
+		rs.joinStamp = make([]uint32, n*rs.memoSlots)
+	}
 	if !rs.baselineFilled {
 		// Clean slots are exactly as they were at convergence, so this
 		// fills the same bars prime would have; dirty-slot members refresh
@@ -550,17 +571,15 @@ func (rs *RepairState) repair(opts CCSGAOptions) (*CCSGAResult, error) {
 					}
 					return
 				}
-				if g.pds {
-					// PDS shares are bounded below by the moving cost, so a
-					// slot whose travel alone beats neither the bar nor the
-					// candidate can skip the tariff evaluation. (Safe for the
-					// tie-break: a skipped slot's share strictly exceeds the
-					// candidate's, so it can never be the argmin. Filtered
-					// slots stay unstamped — the bound says nothing about
-					// their share against a future, higher bar.)
-					if mv := cm.MovingCost(i, g.chargerOf[s]); mv >= curShare-eps || (candS >= 0 && mv > candShare) {
-						return
-					}
+				// A slot whose share lower bound (the moving cost under
+				// PDS) beats neither the bar nor the candidate can skip the
+				// tariff evaluation. (Safe for the tie-break: a skipped
+				// slot's share strictly exceeds the candidate's, so it can
+				// never be the argmin. Filtered slots stay unstamped — the
+				// bound says nothing about their share against a future,
+				// higher bar.)
+				if lb := g.ShareLowerBound(i, s); lb >= curShare-eps || (candS >= 0 && lb > candShare) {
+					return
 				}
 				sh := g.Share(i, s)
 				rs.joinShare[idx] = sh

@@ -217,8 +217,17 @@ func (p *Planner) bestSingleton(d core.Device, k int) (int, float64) {
 		if !p.feasible(d, j) {
 			continue
 		}
-		ch := p.chargers[j]
-		cost := ch.Fee + ch.Tariff.Price(d.Demand/ch.Efficiency) + d.MoveRate*d.Pos.Dist(ch.Pos)
+		ch := &p.chargers[j]
+		// The conversion rounds the product, so no platform fuses it into
+		// either sum below. The tariff is >= 0, so the cost is then
+		// >= Fee + move in floating point too: skipping a charger whose
+		// fee and travel alone reach the best cannot change the strict
+		// argmin.
+		move := float64(d.MoveRate * d.Pos.Dist(ch.Pos))
+		if ch.Fee+move >= bestCost {
+			continue
+		}
+		cost := ch.Fee + ch.Tariff.Price(d.Demand/ch.Efficiency) + move
 		if cost < bestCost {
 			bestJ, bestCost = j, cost
 		}
@@ -250,7 +259,35 @@ type Partition struct {
 	Primary []int
 	// Replicated counts devices solved in more than one shard.
 	Replicated int
+
+	// blocks hold every device's shards as the parallel scan left them,
+	// blockSize devices a block; see shardsOf.
+	blocks    []scanBlock
+	blockSize int
 }
+
+// scanBlock is one Partition work item's output: the shard positions of
+// its devices, device after device, in one flat buffer.
+type scanBlock struct {
+	ks   []int // shard positions
+	ends []int // ends[d] closes the block's d-th device's run in ks
+	err  error // the block's first failing device; the scan stops there
+}
+
+// shardsOf returns the positions of the shards device i is solved in,
+// candidate order (not ascending). Solve reconciles from it.
+func (pt *Partition) shardsOf(i int) []int {
+	b, d := &pt.blocks[i/pt.blockSize], i%pt.blockSize
+	start := 0
+	if d > 0 {
+		start = b.ends[d-1]
+	}
+	return b.ks[start:b.ends[d]]
+}
+
+// partitionBlock is how many consecutive devices one Partition work
+// item scans.
+const partitionBlock = 1024
 
 // Partition assigns every device to its shard(s):
 //
@@ -267,77 +304,136 @@ type Partition struct {
 //     never dropped, even with Overlap == 0.
 //
 // It errors only when some device fits no charger's session capacity
-// anywhere, the same condition that fails core.Instance.Validate.
+// anywhere, the same condition that fails core.Instance.Validate; the
+// error names the lowest-index such device for every Workers value.
+//
+// Blocks of devices are scanned in parallel (Config.Workers), each into
+// one flat buffer; the shard lists are then assembled serially in device
+// order, so they are ascending and identical for every worker count.
 func (p *Planner) Partition(devices []core.Device) (*Partition, error) {
+	return p.partition(devices, partitionBlock)
+}
+
+// partition is Partition with an explicit scan block size.
+func (p *Planner) partition(devices []core.Device, blockSize int) (*Partition, error) {
+	n := len(devices)
+	blocks := make([]scanBlock, (n+blockSize-1)/blockSize)
 	out := &Partition{
-		Shards:  make([]ShardDevices, len(p.shards)),
-		Primary: make([]int, len(devices)),
+		Shards:    make([]ShardDevices, len(p.shards)),
+		Primary:   make([]int, n),
+		blocks:    blocks,
+		blockSize: blockSize,
+	}
+	scan := func(_ context.Context, b int) error {
+		lo, hi := b*blockSize, min((b+1)*blockSize, n)
+		blk := &blocks[b]
+		blk.ks = make([]int, 0, 2*(hi-lo))
+		blk.ends = make([]int, 0, hi-lo)
+		var cands []cand
+		for i := lo; i < hi; i++ {
+			d := devices[i]
+			cands = p.candidates(d, cands[:0])
+			if len(cands) == 0 {
+				k, err := p.nearestFeasibleShard(d)
+				if err != nil {
+					// Kept, not returned: a returned error would cancel
+					// lower blocks that may hold a lower failing device.
+					blk.err = fmt.Errorf("shard: device %d (%s): %w", i, d.ID, err)
+					return nil
+				}
+				out.Primary[i] = k
+				blk.ks = append(blk.ks, k)
+			} else {
+				best := 0
+				for c := 1; c < len(cands); c++ {
+					if cands[c].cost < cands[best].cost ||
+						(cands[c].cost == cands[best].cost && cands[c].j < cands[best].j) {
+						best = c
+					}
+				}
+				out.Primary[i] = cands[best].k
+				for _, c := range cands {
+					blk.ks = append(blk.ks, c.k)
+				}
+			}
+			blk.ends = append(blk.ends, len(blk.ks))
+		}
+		return nil
+	}
+	if err := par.Map(context.Background(), p.cfg.Workers, len(blocks), scan); err != nil {
+		return nil, err
+	}
+
+	size := make([]int, len(p.shards))
+	for b := range blocks {
+		if blocks[b].err != nil {
+			return nil, blocks[b].err
+		}
+		for _, k := range blocks[b].ks {
+			size[k]++
+		}
 	}
 	for k, s := range p.shards {
 		out.Shards[k] = ShardDevices{Cell: s.cell, Chargers: s.chargers}
-	}
-	// Candidate buffer reused across devices.
-	type cand struct {
-		k    int // shard position
-		j    int // best charger (global index)
-		cost float64
-	}
-	var cands []cand
-	for i, d := range devices {
-		cands = cands[:0]
-		own := p.cellOf(d.Pos)
-		if k, ok := p.shardOfCell[own]; ok {
-			if j, cost := p.bestSingleton(d, k); j >= 0 {
-				cands = append(cands, cand{k: k, j: j, cost: cost})
-			}
+		if size[k] > 0 {
+			out.Shards[k].Devices = make([]int, 0, size[k])
 		}
-		if p.cfg.Overlap > 0 {
-			// Scan the cell window that could be within the band.
-			cx0 := clampInt(int(math.Floor((d.Pos.X-p.cfg.Overlap-p.field.MinX)/p.cell)), 0, p.cols-1)
-			cx1 := clampInt(int(math.Floor((d.Pos.X+p.cfg.Overlap-p.field.MinX)/p.cell)), 0, p.cols-1)
-			cy0 := clampInt(int(math.Floor((d.Pos.Y-p.cfg.Overlap-p.field.MinY)/p.cell)), 0, p.rows-1)
-			cy1 := clampInt(int(math.Floor((d.Pos.Y+p.cfg.Overlap-p.field.MinY)/p.cell)), 0, p.rows-1)
-			for cy := cy0; cy <= cy1; cy++ {
-				for cx := cx0; cx <= cx1; cx++ {
-					c := cy*p.cols + cx
-					if c == own {
-						continue
-					}
-					k, ok := p.shardOfCell[c]
-					if !ok || p.shards[k].rect.DistTo(d.Pos) > p.cfg.Overlap {
-						continue
-					}
-					if j, cost := p.bestSingleton(d, k); j >= 0 {
-						cands = append(cands, cand{k: k, j: j, cost: cost})
-					}
-				}
-			}
-		}
-		if len(cands) == 0 {
-			k, err := p.nearestFeasibleShard(d)
-			if err != nil {
-				return nil, fmt.Errorf("shard: device %d (%s): %w", i, d.ID, err)
-			}
-			out.Primary[i] = k
+	}
+	for i := 0; i < n; i++ {
+		ks := out.shardsOf(i)
+		for _, k := range ks {
 			out.Shards[k].Devices = append(out.Shards[k].Devices, i)
-			continue
 		}
-		best := 0
-		for c := 1; c < len(cands); c++ {
-			if cands[c].cost < cands[best].cost ||
-				(cands[c].cost == cands[best].cost && cands[c].j < cands[best].j) {
-				best = c
-			}
-		}
-		out.Primary[i] = cands[best].k
-		for _, c := range cands {
-			out.Shards[c.k].Devices = append(out.Shards[c.k].Devices, i)
-		}
-		if len(cands) > 1 {
+		if len(ks) > 1 {
 			out.Replicated++
 		}
 	}
 	return out, nil
+}
+
+// cand is one shard in a device's reach: its position, its cheapest
+// feasible charger for the device and that singleton session's cost.
+type cand struct {
+	k    int
+	j    int
+	cost float64
+}
+
+// candidates appends to buf the shards in d's reach that hold a
+// capacity-feasible charger for it: its own cell's shard, then — when
+// Overlap > 0 — every shard whose cell lies within the band, in
+// row-major cell order.
+func (p *Planner) candidates(d core.Device, buf []cand) []cand {
+	own := p.cellOf(d.Pos)
+	if k, ok := p.shardOfCell[own]; ok {
+		if j, cost := p.bestSingleton(d, k); j >= 0 {
+			buf = append(buf, cand{k: k, j: j, cost: cost})
+		}
+	}
+	if p.cfg.Overlap <= 0 {
+		return buf
+	}
+	// Scan the cell window that could be within the band.
+	cx0 := clampInt(int(math.Floor((d.Pos.X-p.cfg.Overlap-p.field.MinX)/p.cell)), 0, p.cols-1)
+	cx1 := clampInt(int(math.Floor((d.Pos.X+p.cfg.Overlap-p.field.MinX)/p.cell)), 0, p.cols-1)
+	cy0 := clampInt(int(math.Floor((d.Pos.Y-p.cfg.Overlap-p.field.MinY)/p.cell)), 0, p.rows-1)
+	cy1 := clampInt(int(math.Floor((d.Pos.Y+p.cfg.Overlap-p.field.MinY)/p.cell)), 0, p.rows-1)
+	for cy := cy0; cy <= cy1; cy++ {
+		for cx := cx0; cx <= cx1; cx++ {
+			c := cy*p.cols + cx
+			if c == own {
+				continue
+			}
+			k, ok := p.shardOfCell[c]
+			if !ok || p.shards[k].rect.DistTo(d.Pos) > p.cfg.Overlap {
+				continue
+			}
+			if j, cost := p.bestSingleton(d, k); j >= 0 {
+				buf = append(buf, cand{k: k, j: j, cost: cost})
+			}
+		}
+	}
+	return buf
 }
 
 // nearestFeasibleShard finds the shard of the closest charger that fits
@@ -423,7 +519,12 @@ type shardRun struct {
 	devices []int // indices into the round's devices, ascending
 	cm      *core.CostModel
 	res     *core.CCSGAResult
-	coalOf  []int // local device -> coalition index, built lazily
+	// coalOf maps local device -> coalition index in res.Schedule, and
+	// purch and charge hold each coalition's Purchased and ChargingCost;
+	// see aggregate. Filled only in rounds with replicated devices.
+	coalOf []int
+	purch  []float64
+	charge []float64
 	// rs holds the shard's converged equilibrium for incremental repair
 	// on the reconciliation re-solve; nil when the planner's scheduler
 	// cannot repair. Rounds rebuild cost models, so the state lives one
@@ -470,6 +571,9 @@ func (p *Planner) Solve(devices []core.Device) (*Result, error) {
 			return fmt.Errorf("shard: cell %d: %w", p.shards[k].cell, err)
 		}
 		runs[k] = shardRun{devices: devs, cm: cm, res: res, rs: rs}
+		if part.Replicated > 0 {
+			runs[k].aggregate()
+		}
 		return nil
 	}
 	if err := par.Map(context.Background(), p.cfg.Workers, len(p.shards), solve); err != nil {
@@ -487,40 +591,23 @@ func (p *Planner) Solve(devices []core.Device) (*Result, error) {
 	// Reconcile boundary devices: each replicated device keeps the shard
 	// where its cost share — its moving cost plus its demand-proportional
 	// slice of the session's charging bill — is cheapest. Ties break
-	// toward the smaller cell index. Everywhere else it is removed, and
-	// the losing shards re-solve.
-	removed := make(map[int][]int) // shard position -> local removals (global device indices)
+	// toward the smaller cell index, not the shard's slice position —
+	// positions depend on the enumeration order, cells do not (pinned by
+	// the shard-order determinism test) — so the argmin does not depend
+	// on the order shardsOf lists the holders in. Everywhere else the
+	// device is removed, and the losing shards re-solve.
+	removed := make([][]int, len(p.shards)) // shard position -> global devices it loses, ascending
+	var affected []int                      // shard positions with removals, ascending
 	if part.Replicated > 0 {
-		counts := make([]uint8, len(devices))
-		for k := range part.Shards {
-			for _, i := range part.Shards[k].Devices {
-				if counts[i] < 2 {
-					counts[i]++
-				}
+		for i := range devices {
+			ks := part.shardsOf(i)
+			if len(ks) < 2 {
+				continue
 			}
-		}
-		holders := make(map[int][]int) // device -> shard positions, ascending
-		for k := range part.Shards {
-			for _, i := range part.Shards[k].Devices {
-				if counts[i] > 1 {
-					holders[i] = append(holders[i], k)
-				}
-			}
-		}
-		dups := make([]int, 0, len(holders))
-		for i := range holders {
-			dups = append(dups, i)
-		}
-		sort.Ints(dups)
-		for _, i := range dups {
-			ks := holders[i]
 			best := ks[0]
-			bestShare := p.memberShare(&runs[best], i)
+			bestShare := runs[best].memberShare(i)
 			for _, k := range ks[1:] {
-				// Ties break on the grid cell index, not the shard's slice
-				// position — positions depend on the enumeration order,
-				// cells do not (pinned by the shard-order determinism test).
-				share := p.memberShare(&runs[k], i)
+				share := runs[k].memberShare(i)
 				if share < bestShare ||
 					(share == bestShare && p.shards[k].cell < p.shards[best].cell) {
 					best, bestShare = k, share
@@ -535,26 +622,27 @@ func (p *Planner) Solve(devices []core.Device) (*Result, error) {
 				}
 			}
 		}
+		for k := range removed {
+			if len(removed[k]) > 0 {
+				affected = append(affected, k)
+			}
+		}
 	}
 
 	// Per-shard Nash re-verification pass: shards that lost a boundary
 	// device re-solve warm from their just-recorded equilibrium (the
 	// departed device's carrier entry is simply ignored); untouched
 	// shards keep their verified equilibrium as is.
-	if len(removed) > 0 {
-		affected := make([]int, 0, len(removed))
-		for k := range removed {
-			affected = append(affected, k)
-		}
-		sort.Ints(affected)
+	if len(affected) > 0 {
 		resolve := func(_ context.Context, idx int) error {
 			k := affected[idx]
 			gone := removed[k]
-			sort.Ints(gone)
-			keep := runs[k].devices[:0:0]
+			keep := make([]int, 0, len(runs[k].devices)-len(gone))
+			local := make([]int, 0, len(gone)) // gone's indices in the shard
 			gi := 0
-			for _, i := range runs[k].devices {
+			for li, i := range runs[k].devices {
 				if gi < len(gone) && gone[gi] == i {
+					local = append(local, li)
 					gi++
 					continue
 				}
@@ -566,19 +654,12 @@ func (p *Planner) Solve(devices []core.Device) (*Result, error) {
 			}
 			if runs[k].rs != nil {
 				// Incremental path: patch the shard's existing cost model —
-				// the delta ops tell the repair state which slots went dirty
+				// the delta op tells the repair state which slots went dirty
 				// — and repair the primed equilibrium instead of rebuilding
-				// the model and re-running the full dynamics. Removals go
-				// descending so local indices stay valid.
+				// the model and re-running the full dynamics.
 				cm := runs[k].cm
-				local := make([]int, len(gone))
-				for gi, i := range gone {
-					local[gi] = sort.SearchInts(runs[k].devices, i)
-				}
-				for gi := len(local) - 1; gi >= 0; gi-- {
-					if err := cm.RemoveDevice(local[gi]); err != nil {
-						return fmt.Errorf("shard: cell %d: %w", p.shards[k].cell, err)
-					}
+				if err := cm.RemoveDevices(local); err != nil {
+					return fmt.Errorf("shard: cell %d: %w", p.shards[k].cell, err)
 				}
 				res, err := p.repair.ScheduleRepair(cm, p.warm[k], runs[k].rs)
 				if err != nil {
@@ -617,7 +698,16 @@ func (p *Planner) Solve(devices []core.Device) (*Result, error) {
 		order[i] = i
 	}
 	sort.Slice(order, func(a, b int) bool { return p.shards[order[a]].cell < p.shards[order[b]].cell })
-	sched := &core.Schedule{}
+	// Every coalition's members share one backing array: the schedule is
+	// two allocations, not one per coalition.
+	numCoal := 0
+	for k := range runs {
+		if runs[k].res != nil {
+			numCoal += len(runs[k].res.Schedule.Coalitions)
+		}
+	}
+	sched := &core.Schedule{Coalitions: make([]core.Coalition, 0, numCoal)}
+	flat := make([]int, 0, len(devices))
 	for _, k := range order {
 		run := &runs[k]
 		if run.res == nil {
@@ -627,13 +717,13 @@ func (p *Planner) Solve(devices []core.Device) (*Result, error) {
 		out.TotalCost += run.cm.TotalCost(run.res.Schedule)
 		out.NashStable = out.NashStable && run.res.NashStable
 		for _, c := range run.res.Schedule.Coalitions {
-			members := make([]int, len(c.Members))
-			for mi, li := range c.Members {
-				members[mi] = run.devices[li]
+			start := len(flat)
+			for _, li := range c.Members {
+				flat = append(flat, run.devices[li])
 			}
 			sched.Coalitions = append(sched.Coalitions, core.Coalition{
-				Charger: part.Shards[k].Chargers[c.Charger],
-				Members: members,
+				Charger: p.shards[k].chargers[c.Charger],
+				Members: flat[start:len(flat):len(flat)],
 			})
 		}
 	}
@@ -653,25 +743,34 @@ func (p *Planner) Solve(devices []core.Device) (*Result, error) {
 	return out, nil
 }
 
-// memberShare returns device i's reconciliation cost in run's current
+// aggregate fills coalOf and each coalition's Purchased and ChargingCost
+// — the same calls memberShare would otherwise repeat for every
+// replicated copy, so the values are bit-identical.
+func (run *shardRun) aggregate() {
+	cs := run.res.Schedule.Coalitions
+	run.coalOf = make([]int, len(run.devices))
+	run.purch = make([]float64, len(cs))
+	run.charge = make([]float64, len(cs))
+	for ci, c := range cs {
+		for _, m := range c.Members {
+			run.coalOf[m] = ci
+		}
+		run.purch[ci] = run.cm.Purchased(c.Members, c.Charger)
+		run.charge[ci] = run.cm.ChargingCost(c.Members, c.Charger)
+	}
+}
+
+// memberShare returns device's reconciliation cost in run's current
 // schedule: its moving cost plus its purchased-energy-proportional slice
 // of the coalition's charging bill (the PDS share; used as the
 // scheme-independent reconciliation metric).
-func (p *Planner) memberShare(run *shardRun, device int) float64 {
+func (run *shardRun) memberShare(device int) float64 {
 	li := sort.SearchInts(run.devices, device)
-	if run.coalOf == nil {
-		run.coalOf = make([]int, len(run.devices))
-		for ci := range run.res.Schedule.Coalitions {
-			for _, m := range run.res.Schedule.Coalitions[ci].Members {
-				run.coalOf[m] = ci
-			}
-		}
-	}
-	c := run.res.Schedule.Coalitions[run.coalOf[li]]
-	cm := run.cm
-	total := cm.Purchased(c.Members, c.Charger)
-	mine := cm.Instance().Devices[li].Demand / cm.Instance().Chargers[c.Charger].Efficiency
-	return cm.MovingCost(li, c.Charger) + cm.ChargingCost(c.Members, c.Charger)*mine/total
+	ci := run.coalOf[li]
+	j := run.res.Schedule.Coalitions[ci].Charger
+	in := run.cm.Instance()
+	mine := in.Devices[li].Demand / in.Chargers[j].Efficiency
+	return run.cm.MovingCost(li, j) + run.charge[ci]*mine/run.purch[ci]
 }
 
 // subInstance builds shard k's sub-instance over the given device
