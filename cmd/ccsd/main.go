@@ -60,7 +60,7 @@ func run(args []string, out io.Writer) error {
 		tick         = fs.Duration("tick", 0, "coalesce -serve session deltas arriving within this window into one repair per session (0 = solve per request)")
 		drainWait    = fs.Duration("drain-timeout", 10*time.Second, "on shutdown, wait this long for in-flight -serve requests before force-closing")
 		slowSolve    = fs.Duration("slow-solve", time.Second, "log a slow_solve event for -serve requests slower than this (0 = off)")
-		shardCell    = fs.Float64("shard-cell", 0, "in -serve mode, solve warm-capable one-shot requests cell-parallel with this spatial cell size in meters (0 = whole-field)")
+		shardCell    = fs.Float64("shard-cell", 0, "in -serve mode, solve one-shot CCSGA requests cell-parallel with this spatial cell size in meters (0 = whole-field)")
 		shardOverlap = fs.Float64("shard-overlap", 0, "halo width in meters shared between neighboring shard cells (needs -shard-cell)")
 		shardWorkers = fs.Int("shard-workers", 0, "concurrent shard cell solves per request (0 = GOMAXPROCS; results are identical for every value)")
 	)

@@ -160,9 +160,9 @@ type serveMetrics struct {
 	// decode+solve path (raw-tier byte replays are too fast to matter
 	// and skip it).
 	solveSec map[string]*obs.Histogram
-	// deltaSolveSec is the per-scheduler latency histogram over the
-	// session delta path (apply patches + warm re-solve).
-	deltaSolveSec map[string]*obs.Histogram
+	// deltaSolveSec is the latency histogram over the session delta path
+	// (apply patches + repair or warm re-solve); sessions run CCSGA only.
+	deltaSolveSec *obs.Histogram
 	// repairSolveSec is the latency histogram over delta solves answered
 	// by the incremental repair path (a subset of deltaSolveSec);
 	// repairFrontier is the distribution of devices each repair fully
@@ -196,13 +196,10 @@ type serveOpts struct {
 	// tick, when > 0, batches session delta requests: deltas arriving
 	// within one window coalesce into a single repair per session.
 	tick time.Duration
-	// noRepair disables the incremental repair path (every delta solve
-	// runs the full warm dynamics) — a benchmarking/bisection switch.
-	noRepair bool
-	// shard, when CellSize > 0, routes one-shot solves by warm-capable
-	// schedulers through internal/shard so large instances solve
-	// cell-parallel server-side. The zero value leaves the whole-field
-	// path byte-identical to a server without the option.
+	// shard, when CellSize > 0, routes one-shot CCSGA solves through
+	// internal/shard so large instances solve cell-parallel server-side.
+	// The zero value leaves the whole-field path byte-identical to a
+	// server without the option.
 	shard shard.Config
 	// reg, when non-nil, turns the metrics instruments on.
 	reg *obs.Registry
@@ -234,7 +231,6 @@ type solveServer struct {
 	idleTimeout     time.Duration
 	slowSolve       time.Duration
 	tick            time.Duration
-	noRepair        bool
 	log             *obs.EventLogger
 	met             serveMetrics
 	metricsOn       bool
@@ -261,7 +257,6 @@ func newSolveServer(opts serveOpts) (*solveServer, error) {
 		idleTimeout: opts.idleTimeout,
 		slowSolve:   opts.slowSolve,
 		tick:        opts.tick,
-		noRepair:    opts.noRepair,
 		log:         opts.log,
 		conns:       make(map[net.Conn]struct{}),
 	}
@@ -328,14 +323,7 @@ func (s *solveServer) register(reg *obs.Registry) {
 		s.met.repairSolveSec = reg.Histogram("ccsd_repair_solve_seconds", obs.DefaultLatencyBuckets)
 		s.met.repairFrontier = reg.Histogram("ccsd_repair_frontier_devices",
 			[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384})
-		s.met.deltaSolveSec = make(map[string]*obs.Histogram, len(schedulerNames))
-		for _, name := range schedulerNames {
-			if sched, err := schedulerByName(name); err == nil {
-				if _, warm := sched.(core.WarmScheduler); warm {
-					s.met.deltaSolveSec[name] = reg.Histogram("ccsd_delta_solve_seconds", obs.DefaultLatencyBuckets, "scheduler", name)
-				}
-			}
-		}
+		s.met.deltaSolveSec = reg.Histogram("ccsd_delta_solve_seconds", obs.DefaultLatencyBuckets, "scheduler", core.CCSGAScheduler{}.Name())
 	}
 	if s.cache == nil {
 		return
@@ -453,12 +441,11 @@ func (s *solveServer) answer(req solveRequest) solveResponse {
 		}
 		return plan, cm.TotalCost(plan), nil
 	}
-	// Server-side sharding: with a cell size configured and a scheduler
-	// that can warm-start (the property internal/shard relies on), large
-	// one-shot solves go cell-parallel. Non-warm schedulers keep the
-	// whole-field path.
+	// Server-side sharding: with a cell size configured, large one-shot
+	// CCSGA solves go cell-parallel (internal/shard runs the CCSGA engine
+	// per cell). Other schedulers keep the whole-field path.
 	options := ""
-	if ws, ok := sched.(core.WarmScheduler); ok && s.shard.CellSize > 0 {
+	if ccsga, ok := sched.(core.CCSGAScheduler); ok && s.shard.CellSize > 0 {
 		cfg := s.shard
 		// The cache key carries the sharding geometry — a sharded schedule
 		// is a different artifact than a whole-field one — but not Workers,
@@ -468,7 +455,7 @@ func (s *solveServer) answer(req solveRequest) solveResponse {
 			if s.solveDelay > 0 {
 				time.Sleep(s.solveDelay)
 			}
-			res, err := shard.Solve(in, ws, cfg)
+			res, err := shard.Solve(in, &ccsga, cfg)
 			if err != nil {
 				return nil, 0, err
 			}

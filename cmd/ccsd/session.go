@@ -55,24 +55,20 @@ type sessionDelta struct {
 	Tariff *gen.TariffDTO `json:"tariff,omitempty"`
 }
 
-// session is one registered instance plus the warm-start state that
-// carries its equilibrium from solve to solve. The mutex serializes
-// delta batches; the cost model and carrier are never shared across
-// sessions.
+// session is one registered instance plus the warm-start and repair
+// state that carry its equilibrium from solve to solve: delta solves
+// repair the primed equilibrium over the slots the batch dirtied instead
+// of re-running the full warm dynamics. The mutex serializes delta
+// batches; the cost model, carrier and repair state are never shared
+// across sessions.
 type session struct {
-	id        uint64
-	schedName string
-	sched     core.WarmScheduler
-	// repair and rs arm the incremental dirty-set repair path: when the
-	// scheduler supports it (CCSGA does), delta solves repair the primed
-	// equilibrium over the slots the batch dirtied instead of re-running
-	// the full warm dynamics. Both nil when repair is off.
-	repair core.RepairScheduler
-	rs     *core.RepairState
+	id    uint64
+	sched core.CCSGAScheduler
 
 	mu       sync.Mutex
 	cm       *core.CostModel
 	ws       *core.WarmStart
+	rs       *core.RepairState
 	devIndex map[string]int // device ID → index in cm's instance
 	chIndex  map[string]int // charger ID → index (chargers never move)
 
@@ -299,7 +295,7 @@ func (s *solveServer) registerSession(req solveRequest) solveResponse {
 	if err != nil {
 		return solveResponse{Err: err.Error()}
 	}
-	warm, ok := sched.(core.WarmScheduler)
+	ccsga, ok := sched.(core.CCSGAScheduler)
 	if !ok {
 		return solveResponse{Err: fmt.Sprintf("scheduler %q does not support sessions (use CCSGA)", name)}
 	}
@@ -332,24 +328,16 @@ func (s *solveServer) registerSession(req solveRequest) solveResponse {
 		return solveResponse{Err: err.Error()}
 	}
 	sess := &session{
-		schedName: name,
-		sched:     warm,
-		cm:        cm,
-		ws:        core.NewWarmStart(),
-		devIndex:  devIndex,
-		chIndex:   chIndex,
+		sched:    ccsga,
+		cm:       cm,
+		ws:       core.NewWarmStart(),
+		rs:       core.NewRepairState(),
+		devIndex: devIndex,
+		chIndex:  chIndex,
 	}
-	var res *core.CCSGAResult
-	if rsched, ok := warm.(core.RepairScheduler); ok && !s.noRepair {
-		// Arm the repair path: the unprimed first solve runs exactly the
-		// warm path (byte-identical response) and primes the state, so
-		// every later delta solve can repair incrementally.
-		sess.repair = rsched
-		sess.rs = core.NewRepairState()
-		res, err = rsched.ScheduleRepair(cm, sess.ws, sess.rs)
-	} else {
-		res, err = warm.ScheduleWarm(cm, sess.ws)
-	}
+	// The unprimed first solve runs exactly the warm path and primes the
+	// repair state, so every later delta solve can repair incrementally.
+	res, err := ccsga.ScheduleRepair(cm, sess.ws, sess.rs)
 	if err != nil {
 		return solveResponse{Err: err.Error()}
 	}
@@ -417,13 +405,7 @@ func (s *solveServer) applyAndSolve(sess *session, deltas []sessionDelta) solveR
 	if s.solveDelay > 0 {
 		time.Sleep(s.solveDelay) // test hook, mirrors the stateless path
 	}
-	var res *core.CCSGAResult
-	var err error
-	if sess.rs != nil {
-		res, err = sess.repair.ScheduleRepair(sess.cm, sess.ws, sess.rs)
-	} else {
-		res, err = sess.sched.ScheduleWarm(sess.cm, sess.ws)
-	}
+	res, err := sess.sched.ScheduleRepair(sess.cm, sess.ws, sess.rs)
 	if err != nil {
 		return solveResponse{Session: sess.id, Err: err.Error()}
 	}
@@ -436,14 +418,12 @@ func (s *solveServer) applyAndSolve(sess *session, deltas []sessionDelta) solveR
 	}
 	if s.metricsOn || s.slowSolve > 0 {
 		elapsed := time.Since(start)
-		if h, ok := s.met.deltaSolveSec[sess.schedName]; ok {
-			h.Observe(elapsed.Seconds())
-		}
+		s.met.deltaSolveSec.Observe(elapsed.Seconds())
 		if res.Repaired {
 			s.met.repairSolveSec.Observe(elapsed.Seconds())
 		}
 		if s.slowSolve > 0 && elapsed >= s.slowSolve {
-			s.log.Event("slow_delta_solve", "scheduler", sess.schedName, "session", sess.id, "elapsed", elapsed)
+			s.log.Event("slow_delta_solve", "scheduler", sess.sched.Name(), "session", sess.id, "elapsed", elapsed)
 		}
 	}
 	resp := renderSchedule(sess.cm, res)

@@ -26,21 +26,6 @@ type CCSGAOptions struct {
 	// Epsilon is the minimum strict improvement; zero uses the engine
 	// default.
 	Epsilon float64
-	// Init, when non-nil, seeds the switch dynamics with a device→slot
-	// assignment (typically a previous, related solve's equilibrium)
-	// instead of the noncooperative cold start. Slot indices follow
-	// SessionSlots. The seed must assign every device an in-range slot
-	// and respect session capacities; CCSGA rejects it otherwise. A
-	// warm-started run still converges to (and is verified as) a pure
-	// Nash equilibrium — possibly a different one than the cold start
-	// reaches.
-	Init []int
-	// RepairMaxFrontier caps how much of the population an incremental
-	// repair (ScheduleRepair) may fully re-evaluate before falling back
-	// to a full warm solve, as a fraction of the device count. Zero uses
-	// the default 0.5. Ignored by CCSGA itself — it only shapes the
-	// repair path's escape hatch.
-	RepairMaxFrontier float64
 }
 
 // CCSGAResult carries the schedule plus game diagnostics.
@@ -75,16 +60,20 @@ type CCSGAResult struct {
 // initial assignment is the noncooperative one (every device at its
 // standalone charger), packed greedily when capacities bind.
 func CCSGA(cm *CostModel, opts CCSGAOptions) (*CCSGAResult, error) {
-	res, _, _, err := ccsgaSolve(cm, opts)
+	res, _, _, err := ccsgaSolve(cm, opts, nil, nil)
 	return res, err
 }
 
-// ccsgaSolve is CCSGA plus the solver internals the repair path persists:
-// the charger game with its final aggregates and the converged device→slot
-// assignment. The game's cur array aliases the returned assignment state
-// after the run (coalition.Run mutates the game through Move), so a caller
-// adopting the game gets per-slot aggregates that already match assign.
-func ccsgaSolve(cm *CostModel, opts CCSGAOptions) (*CCSGAResult, *chargerGame, []int, error) {
+// ccsgaSolve is the one full CCSGA solve: seed, switch dynamics to a
+// verified equilibrium, record. The dynamics start from init when it is
+// non-nil (validated: one in-range slot per device, capacities and
+// travel budgets respected), else from ws's seed — a nil ws seeds like an
+// empty carrier, which is the cold start. The converged equilibrium is
+// recorded into ws when non-nil. Besides the result it returns the
+// solver internals the repair path persists: the charger game with its
+// final aggregates and the converged device→slot assignment (coalition.
+// Run mutates the game through Move, so the aggregates already match).
+func ccsgaSolve(cm *CostModel, opts CCSGAOptions, ws *WarmStart, init []int) (*CCSGAResult, *chargerGame, []int, error) {
 	if opts.Scheme == nil {
 		opts.Scheme = PDS{}
 	}
@@ -95,17 +84,13 @@ func ccsgaSolve(cm *CostModel, opts CCSGAOptions) (*CCSGAResult, *chargerGame, [
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	var init []int
-	if opts.Init != nil {
-		if err := game.validateInit(opts.Init); err != nil {
-			return nil, nil, nil, fmt.Errorf("ccsga: %w", err)
-		}
-		init = opts.Init
+	if init != nil {
+		err = game.validateInit(init)
 	} else {
-		init, err = game.initialAssignment()
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("ccsga: %w", err)
-		}
+		init, err = ws.seed(cm, game.chargerOf, game.firstSlot)
+	}
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("ccsga: %w", err)
 	}
 	game.reset(init)
 
@@ -132,6 +117,9 @@ func ccsgaSolve(cm *CostModel, opts CCSGAOptions) (*CCSGAResult, *chargerGame, [
 	nash := res.Converged && opts.Rule == coalition.Selfish && opts.Epsilon <= 1e-9
 	if !nash {
 		nash = coalition.IsNash(game, res.Assignment, 1e-9)
+	}
+	if ws != nil {
+		ws.Record(cm.Instance(), sched)
 	}
 	return &CCSGAResult{
 		Schedule:   sched,
@@ -214,8 +202,7 @@ var (
 // cm: chargerOf maps each slot to its charger index, firstSlot maps each
 // charger to its first slot. Without session capacities every charger has
 // exactly one slot; with capacities a charger gets ⌈total purchase /
-// capacity⌉ slots (at most one per device). Use it to build a
-// CCSGAOptions.Init seed by hand.
+// capacity⌉ slots (at most one per device).
 func SessionSlots(cm *CostModel) (chargerOf, firstSlot []int) {
 	in := cm.Instance()
 	var totalDemand float64
@@ -270,61 +257,6 @@ func newChargerGame(cm *CostModel, scheme SharingScheme) (*chargerGame, error) {
 		g.routeLen = make([]float64, n)
 	}
 	return g, nil
-}
-
-// initialAssignment returns the starting device→slot assignment: the
-// noncooperative one, except that under session capacities or travel
-// budgets devices are packed greedily (largest demand first, cheapest
-// slot with room — capacity room and, for budgeted mobile chargers,
-// tour-budget room).
-func (g *chargerGame) initialAssignment() ([]int, error) {
-	cm := g.cm
-	in := cm.Instance()
-	init := make([]int, cm.NumDevices())
-	if !cm.HasCapacity() && !cm.HasTravelBudget() {
-		for i := range init {
-			_, j := cm.StandaloneCost(i)
-			init[i] = g.firstSlot[j]
-		}
-		return init, nil
-	}
-	order := make([]int, cm.NumDevices())
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return in.Devices[order[a]].Demand > in.Devices[order[b]].Demand
-	})
-	remaining := make([]float64, len(g.chargerOf))
-	for s, j := range g.chargerOf {
-		remaining[s] = in.Chargers[j].Capacity // 0 = unlimited
-	}
-	fitter := newBudgetFitter(cm, g.chargerOf)
-	for _, i := range order {
-		bestS, bestCost := -1, 0.0
-		for s, j := range g.chargerOf {
-			ch := in.Chargers[j]
-			need := in.Devices[i].Demand / ch.Efficiency
-			if ch.Capacity > 0 && need > remaining[s]*(1+1e-12) {
-				continue
-			}
-			if !fitter.fits(i, s) {
-				continue
-			}
-			if c := cm.SessionCost([]int{i}, j); bestS < 0 || c < bestCost {
-				bestS, bestCost = s, c
-			}
-		}
-		if bestS < 0 {
-			return nil, fmt.Errorf("device %s fits no session slot: capacities or travel budgets too tight", in.Devices[i].ID)
-		}
-		init[i] = bestS
-		fitter.take(i, bestS)
-		if cap := in.Chargers[g.chargerOf[bestS]].Capacity; cap > 0 {
-			remaining[bestS] -= in.Devices[i].Demand / in.Chargers[g.chargerOf[bestS]].Efficiency
-		}
-	}
-	return init, nil
 }
 
 // validateInit checks a caller-supplied device→slot seed: one in-range
@@ -408,12 +340,9 @@ func (g *chargerGame) reset(assign []int) {
 }
 
 func (g *chargerGame) join(i, s int) {
-	j := g.chargerOf[s]
-	g.count[s]++
-	g.purchased[s] += g.in.Devices[i].Demand / g.in.Chargers[j].Efficiency
-	g.moveSum[s] += g.cm.MovingCost(i, j)
-	g.sigmaSum[s] += g.sigma[i]
+	g.addAggregates(i, s)
 	if g.mobility {
+		j := g.chargerOf[s]
 		ms := g.slotMembers[s]
 		at := sort.SearchInts(ms, i)
 		ms = append(ms, 0)
@@ -424,6 +353,17 @@ func (g *chargerGame) join(i, s int) {
 			g.routeLen[s] = g.cm.TourLength(ms, j)
 		}
 	}
+}
+
+// addAggregates folds device i into slot s's count, purchase, moving
+// and standalone sums — join's arithmetic, also used to rebuild a slot
+// from scratch, so both produce the same bits.
+func (g *chargerGame) addAggregates(i, s int) {
+	j := g.chargerOf[s]
+	g.count[s]++
+	g.purchased[s] += g.in.Devices[i].Demand / g.in.Chargers[j].Efficiency
+	g.moveSum[s] += g.cm.MovingCost(i, j)
+	g.sigmaSum[s] += g.sigma[i]
 }
 
 func (g *chargerGame) leave(i, s int) {

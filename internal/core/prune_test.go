@@ -58,7 +58,7 @@ func runGame(t *testing.T, cm *CostModel, scheme SharingScheme, wrap func(*charg
 	if err != nil {
 		t.Fatal(err)
 	}
-	init, err := g.initialAssignment()
+	init, err := NewWarmStart().seed(cm, g.chargerOf, g.firstSlot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestShareLowerBoundHolds(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				init, err := g.initialAssignment()
+				init, err := NewWarmStart().seed(cm, g.chargerOf, g.firstSlot)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -26,8 +26,9 @@ func newRemovalFixture(t *testing.T, in *Instance, withRepair bool) *removalFixt
 	if !withRepair {
 		return f
 	}
-	sched := CCSGAScheduler{Opts: CCSGAOptions{RepairMaxFrontier: 1}}
+	sched := CCSGAScheduler{}
 	f.rs = NewRepairState()
+	f.rs.maxFrontier = 1
 	if _, err := sched.ScheduleRepair(f.cm, f.ws, f.rs); err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestRemoveDevicesMatchesSingleRemovals(t *testing.T) {
 			sameRepairState(t, tag+" batch vs single", batch.rs, single.rs)
 			sameRepairState(t, tag+" batch vs expected", batch.rs, expect)
 
-			sched := CCSGAScheduler{Opts: CCSGAOptions{RepairMaxFrontier: 1}}
+			sched := CCSGAScheduler{}
 			got, err := sched.ScheduleRepair(batch.cm, batch.ws, batch.rs)
 			if err != nil {
 				t.Fatalf("%s: %v", tag, err)

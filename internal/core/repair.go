@@ -27,7 +27,7 @@ import (
 // zero-move round, which is itself the Nash verification sweep.
 //
 // When incremental repair cannot run — the frontier exceeds
-// CCSGAOptions.RepairMaxFrontier of the population, the session-slot
+// repairMaxFrontier of the population, the session-slot
 // layout changed under capacities, a dirty slot is over capacity, an ESS
 // tariff swap moved every standalone cost, or the dynamics hit the round
 // cap — the solve falls back to a full warm solve and re-primes
@@ -86,13 +86,22 @@ type RepairState struct {
 	// enumReverse flips candidate-slot enumeration order; a test hook
 	// proving the argmin tie-break makes results enumeration-order-free.
 	enumReverse bool
+	// maxFrontier is the frontier cap as a fraction of the population,
+	// repairMaxFrontier unless a test moves it to force or avoid the
+	// fallback.
+	maxFrontier float64
 }
+
+// repairMaxFrontier caps how much of the population a repair may fully
+// re-evaluate before it falls back to the full warm solve: past half the
+// devices, the frontier sweep costs about as much as the full dynamics.
+const repairMaxFrontier = 0.5
 
 // NewRepairState returns an empty, unprimed state. The first
 // ScheduleRepair through it runs a full warm solve (byte-identical to
 // ScheduleWarm) and primes the state; later solves repair incrementally.
 func NewRepairState() *RepairState {
-	return &RepairState{dirty: make(map[int]struct{})}
+	return &RepairState{dirty: make(map[int]struct{}), maxFrontier: repairMaxFrontier}
 }
 
 // Primed reports whether the state holds a converged equilibrium to
@@ -203,7 +212,8 @@ func (rs *RepairState) markUpdated(i int) {
 // --- solve path ---
 
 // solve is ScheduleRepair's engine: attach to cm if needed, repair if
-// primed and possible, otherwise run the full warm path and re-prime.
+// primed and possible, otherwise run the full warm solve and re-prime
+// (reason is non-empty when that is a fallback from a primed state).
 func (rs *RepairState) solve(cm *CostModel, opts CCSGAOptions, ws *WarmStart) (*CCSGAResult, error) {
 	if cm == nil {
 		return nil, errors.New("ccsga repair: nil cost model")
@@ -251,28 +261,10 @@ func (rs *RepairState) solve(cm *CostModel, opts CCSGAOptions, ws *WarmStart) (*
 		}
 		reason = fb.reason
 	}
-	return rs.full(opts, ws, reason)
-}
-
-// full runs the warm path (exactly ScheduleWarm's: Seed, solve, Record)
-// and primes the state from the converged game. reason is non-empty when
-// this is a fallback from an attempted repair.
-func (rs *RepairState) full(opts CCSGAOptions, ws *WarmStart, reason string) (*CCSGAResult, error) {
-	if ws != nil {
-		init, err := ws.Seed(rs.cm)
-		if err != nil {
-			rs.invalidate()
-			return nil, err
-		}
-		opts.Init = init
-	}
-	res, game, assign, err := ccsgaSolve(rs.cm, opts)
+	res, game, assign, err := ccsgaSolve(cm, opts, ws, nil)
 	if err != nil {
 		rs.invalidate()
 		return nil, err
-	}
-	if ws != nil {
-		ws.Record(rs.cm.Instance(), res.Schedule)
 	}
 	rs.prime(game, assign)
 	res.FallbackReason = reason
@@ -352,10 +344,9 @@ func (rs *RepairState) layoutUnchanged() bool {
 	return true
 }
 
-// seatNew places devices added since the last convergence at their
-// standalone charger (first slot with room under capacities, cheapest
-// feasible slot anywhere when the target charger is full — the
-// WarmStart.Seed rule), dirtying the slots they land in.
+// seatNew places devices added since the last convergence by the seed
+// packer's rule (seatSlot) at their standalone charger, judging room by
+// the live slot aggregates, and dirties the slots they land in.
 func (rs *RepairState) seatNew() error {
 	g, cm := rs.game, rs.cm
 	in := g.in
@@ -365,37 +356,12 @@ func (rs *RepairState) seatNew() error {
 		}
 		sigma, target := cm.StandaloneCost(i)
 		g.sigma[i] = sigma
-		seat := -1
-		if !cm.HasCapacity() {
-			seat = g.firstSlot[target]
-		} else {
-			need := func(s int) float64 {
-				return in.Devices[i].Demand / in.Chargers[g.chargerOf[s]].Efficiency
-			}
-			room := func(s int) bool {
-				cap := in.Chargers[g.chargerOf[s]].Capacity
-				return cap == 0 || g.purchased[s]+need(s) <= cap*(1+1e-12)
-			}
-			for s := g.firstSlot[target]; s < len(g.chargerOf) && g.chargerOf[s] == target; s++ {
-				if room(s) {
-					seat = s
-					break
-				}
-			}
-			if seat < 0 {
-				bestCost := 0.0
-				for s, j := range g.chargerOf {
-					if !room(s) {
-						continue
-					}
-					if c := cm.SessionCost([]int{i}, j); seat < 0 || c < bestCost {
-						seat, bestCost = s, c
-					}
-				}
-			}
-			if seat < 0 {
-				return &fallbackError{fmt.Sprintf("device %s fits no session slot", in.Devices[i].ID)}
-			}
+		seat := seatSlot(cm, g.chargerOf, g.firstSlot, i, target, func(s int) bool {
+			ch := &in.Chargers[g.chargerOf[s]]
+			return ch.Capacity == 0 || g.purchased[s]+in.Devices[i].Demand/ch.Efficiency <= ch.Capacity*(1+1e-12)
+		})
+		if seat < 0 {
+			return &fallbackError{fmt.Sprintf("device %s fits no session slot", in.Devices[i].ID)}
 		}
 		g.join(i, seat)
 		g.cur[i] = seat
@@ -415,7 +381,6 @@ func (rs *RepairState) seatNew() error {
 // slots keep their prime-time-exact sums untouched.
 func (rs *RepairState) rebuildDirty(isDirty []bool) {
 	g := rs.game
-	in := g.in
 	for s := range rs.dirty {
 		g.count[s] = 0
 		g.purchased[s] = 0
@@ -423,14 +388,9 @@ func (rs *RepairState) rebuildDirty(isDirty []bool) {
 		g.sigmaSum[s] = 0
 	}
 	for i, s := range rs.assign {
-		if !isDirty[s] {
-			continue
+		if isDirty[s] {
+			g.addAggregates(i, s)
 		}
-		j := g.chargerOf[s]
-		g.count[s]++
-		g.purchased[s] += in.Devices[i].Demand / in.Chargers[j].Efficiency
-		g.moveSum[s] += g.cm.MovingCost(i, j)
-		g.sigmaSum[s] += g.sigma[i]
 	}
 }
 
@@ -458,11 +418,7 @@ func (rs *RepairState) repair(opts CCSGAOptions) (*CCSGAResult, error) {
 	if maxRounds == 0 {
 		maxRounds = 10*n + 100
 	}
-	frac := opts.RepairMaxFrontier
-	if frac == 0 {
-		frac = 0.5
-	}
-	maxFrontier := int(frac * float64(n))
+	maxFrontier := int(rs.maxFrontier * float64(n))
 	if maxFrontier < 1 {
 		maxFrontier = 1
 	}
@@ -628,19 +584,14 @@ func (rs *RepairState) repair(opts CCSGAOptions) (*CCSGAResult, error) {
 				rs.share[i] = curShare
 			}
 		}
+		// isDirty holds exactly this round's flags: clear them and it
+		// becomes the next round's all-false collector.
+		for _, s := range dirtyList {
+			isDirty[s] = false
+		}
 		sort.Ints(next)
 		dirtyList = next
 		isDirty, nextDirty = nextDirty, isDirty
-		for _, s := range dirtyList {
-			nextDirty[s] = false
-		}
-		// nextDirty must be all-false for the next round; the swap left it
-		// holding the PREVIOUS round's dirty flags.
-		for s := range nextDirty {
-			if nextDirty[s] {
-				nextDirty[s] = false
-			}
-		}
 	}
 	for s := range rs.dirty {
 		delete(rs.dirty, s)

@@ -155,7 +155,8 @@ func TestPropertyRepairDeltaStream(t *testing.T) {
 				// so the default 0.5 frontier cap trips constantly; lift it
 				// to the whole population here (the escape hatch has its own
 				// test) so the stream mostly exercises the repair path.
-				sched := CCSGAScheduler{Opts: CCSGAOptions{RepairMaxFrontier: 1}}
+				rs.maxFrontier = 1
+				sched := CCSGAScheduler{}
 				if _, err := sched.ScheduleRepair(cm, ws, rs); err != nil {
 					t.Fatalf("seed %d prime: %v", seed, err)
 				}
@@ -188,7 +189,7 @@ func TestPropertyRepairDeltaStream(t *testing.T) {
 					}
 					verifyRepairedNash(t, cm.Instance(), res.Schedule, id)
 
-					shadow, err := CCSGA(shadowCM, CCSGAOptions{Init: shadowInit})
+					shadow, err := ccsgaFrom(shadowCM, shadowInit)
 					if err != nil {
 						t.Fatalf("%s: shadow: %v", id, err)
 					}
@@ -218,6 +219,37 @@ func TestPropertyRepairDeltaStream(t *testing.T) {
 				t.Errorf("repair engaged on only %d/%d delta solves", repaired, solves)
 			}
 		})
+	}
+}
+
+// Longer streams over larger populations drive repairs through many
+// rounds, in which a slot dirtied in one round is dirtied again later.
+// Each round must start from an all-false dirty collector: a stale flag
+// keeps a re-dirtied slot out of the next round, the final zero-move
+// round then verifies less than the full strategy space, and the result
+// is no longer a pure Nash equilibrium.
+func TestRepairLongStreamsStayNash(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		in := warmInstance(r, 20+r.Intn(60), 3+r.Intn(6), seed%2 == 0)
+		cm := mustCostModel(t, cloneInstance(in))
+		ws, rs := NewWarmStart(), NewRepairState()
+		rs.maxFrontier = 1 // keep the stream on the repair path
+		sched := CCSGAScheduler{}
+		if _, err := sched.ScheduleRepair(cm, ws, rs); err != nil {
+			t.Fatalf("seed %d prime: %v", seed, err)
+		}
+		for step := 0; step < 40; step++ {
+			tag, err := randomRepairDelta(r, cm, step)
+			if err != nil {
+				t.Fatalf("seed %d step %d %s: %v", seed, step, tag, err)
+			}
+			res, err := sched.ScheduleRepair(cm, ws, rs)
+			if err != nil {
+				t.Fatalf("seed %d step %d %s: %v", seed, step, tag, err)
+			}
+			verifyRepairedNash(t, cm.Instance(), res.Schedule, fmt.Sprintf("seed %d step %d (%s)", seed, step, tag))
+		}
 	}
 }
 
@@ -270,7 +302,8 @@ func TestRepairForcedFallback(t *testing.T) {
 	cm := mustCostModel(t, in)
 	ws := NewWarmStart()
 	rs := NewRepairState()
-	sched := CCSGAScheduler{Opts: CCSGAOptions{RepairMaxFrontier: 1e-9}}
+	rs.maxFrontier = 1e-9
+	sched := CCSGAScheduler{}
 	if _, err := sched.ScheduleRepair(cm, ws, rs); err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +336,8 @@ func TestRepairForcedFallback(t *testing.T) {
 	if err := cm.UpdateDevice(0, d); err != nil {
 		t.Fatal(err)
 	}
-	res2, err := CCSGAScheduler{Opts: CCSGAOptions{RepairMaxFrontier: 1}}.ScheduleRepair(cm, ws, rs)
+	rs.maxFrontier = 1
+	res2, err := sched.ScheduleRepair(cm, ws, rs)
 	if err != nil {
 		t.Fatal(err)
 	}

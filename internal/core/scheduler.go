@@ -42,39 +42,15 @@ func (s CCSAScheduler) Schedule(cm *CostModel) (*Schedule, error) {
 	return res.Schedule, nil
 }
 
-// WarmScheduler is a Scheduler that can carry an equilibrium across
-// related solves through a WarmStart, returning full solver diagnostics.
-type WarmScheduler interface {
-	Scheduler
-	// ScheduleWarm solves like Schedule, seeding the dynamics from ws
-	// when it is non-nil (and recording the new equilibrium back into
-	// it). A nil ws is exactly the cold path plus diagnostics.
-	ScheduleWarm(cm *CostModel, ws *WarmStart) (*CCSGAResult, error)
-}
-
-// RepairScheduler is a WarmScheduler that can additionally repair a
-// previously converged equilibrium incrementally after cost-model delta
-// ops, instead of re-running the full switch dynamics.
-type RepairScheduler interface {
-	WarmScheduler
-	// ScheduleRepair solves like ScheduleWarm but routes through rs: the
-	// first solve (or any solve repair cannot handle — see RepairState)
-	// runs the full warm path and primes rs; subsequent solves repair the
-	// primed equilibrium over the dirty-slot frontier. A nil rs is
-	// exactly ScheduleWarm.
-	ScheduleRepair(cm *CostModel, ws *WarmStart, rs *RepairState) (*CCSGAResult, error)
-}
-
-// CCSGAScheduler wraps CCSGA.
+// CCSGAScheduler wraps CCSGA. Beyond the one-shot Schedule it is the
+// stateful CCSGA engine: ScheduleWarm carries equilibria across related
+// solves through a WarmStart, and ScheduleRepair additionally repairs a
+// primed equilibrium incrementally through a RepairState.
 type CCSGAScheduler struct {
 	Opts CCSGAOptions
 }
 
-var (
-	_ Scheduler       = CCSGAScheduler{}
-	_ WarmScheduler   = CCSGAScheduler{}
-	_ RepairScheduler = CCSGAScheduler{}
-)
+var _ Scheduler = CCSGAScheduler{}
 
 // Name implements Scheduler.
 func (CCSGAScheduler) Name() string { return "CCSGA" }
@@ -88,28 +64,20 @@ func (s CCSGAScheduler) Schedule(cm *CostModel) (*Schedule, error) {
 	return res.Schedule, nil
 }
 
-// ScheduleWarm implements WarmScheduler. Any Opts.Init is overridden by
-// the carrier's seed when ws is non-nil.
+// ScheduleWarm solves like Schedule, returning full solver diagnostics,
+// and seeds the dynamics from ws when it is non-nil (recording the new
+// equilibrium back into it). A nil ws is exactly the cold path. It is the
+// reference the incremental repair path is tested against.
 func (s CCSGAScheduler) ScheduleWarm(cm *CostModel, ws *WarmStart) (*CCSGAResult, error) {
-	opts := s.Opts
-	if ws != nil {
-		init, err := ws.Seed(cm)
-		if err != nil {
-			return nil, err
-		}
-		opts.Init = init
-	}
-	res, err := CCSGA(cm, opts)
-	if err != nil {
-		return nil, err
-	}
-	if ws != nil {
-		ws.Record(cm.Instance(), res.Schedule)
-	}
-	return res, nil
+	res, _, _, err := ccsgaSolve(cm, s.Opts, ws, nil)
+	return res, err
 }
 
-// ScheduleRepair implements RepairScheduler.
+// ScheduleRepair solves like ScheduleWarm but routes through rs: the
+// first solve (or any solve repair cannot handle — see RepairState) runs
+// the full warm solve and primes rs; subsequent solves repair the primed
+// equilibrium over the dirty-slot frontier. A nil rs is exactly
+// ScheduleWarm.
 func (s CCSGAScheduler) ScheduleRepair(cm *CostModel, ws *WarmStart, rs *RepairState) (*CCSGAResult, error) {
 	if rs == nil {
 		return s.ScheduleWarm(cm, ws)

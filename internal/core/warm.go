@@ -2,9 +2,9 @@ package core
 
 import "sort"
 
-// WarmStart carries CCSGA equilibria across related solves. The caller
-// records each solve's outcome; Seed then builds a CCSGAOptions.Init for
-// the next (possibly perturbed) instance by mapping every device the
+// WarmStart carries CCSGA equilibria across related solves. Each solve
+// records its outcome; Seed then builds the starting assignment for the
+// next (possibly perturbed) instance by mapping every device the
 // carrier remembers — matched by device ID — onto the charger it settled
 // at last time, while unknown devices start standalone exactly like the
 // cold path. Coalition-formation dynamics started near an equilibrium
@@ -53,22 +53,30 @@ func (w *WarmStart) Record(in *Instance, s *Schedule) {
 	}
 }
 
-// Seed builds a validated CCSGAOptions.Init for cm: remembered devices are
-// seeded at their previous charger, everyone else at its standalone
-// charger. Under session capacities (or mobile-charger travel budgets)
-// devices are packed largest-demand first (the cold-start rule) into the
-// target charger's slots, falling back to the cheapest feasible slot
-// anywhere when the target is full, so Seed succeeds on every instance
-// the cold start can handle. It returns an error only when some device
-// fits no slot at all — the same "capacities too tight" condition that
-// fails the cold start.
+// Seed builds a validated starting assignment (slot indices follow
+// SessionSlots) for cm: remembered devices are seeded at their previous
+// charger, everyone else at its standalone charger. Under session
+// capacities (or mobile-charger travel budgets) devices are packed
+// largest-demand first into the target charger's slots, falling back to
+// the cheapest feasible slot anywhere when the target is full (seatSlot).
+// It returns an error only when some device fits no slot at all — the
+// "capacities too tight" condition.
 func (w *WarmStart) Seed(cm *CostModel) ([]int, error) {
 	chargerOf, firstSlot := SessionSlots(cm)
+	return w.seed(cm, chargerOf, firstSlot)
+}
+
+// seed is Seed over a slot layout the caller already holds. A nil
+// carrier remembers nobody, so it yields the cold start: every device at
+// its standalone charger, packed when capacities or budgets bind.
+func (w *WarmStart) seed(cm *CostModel, chargerOf, firstSlot []int) ([]int, error) {
 	in := cm.Instance()
 	init := make([]int, cm.NumDevices())
 	target := func(i int) int {
-		if j, ok := w.charger[in.Devices[i].ID]; ok && j >= 0 && j < len(firstSlot) {
-			return j
+		if w != nil {
+			if j, ok := w.charger[in.Devices[i].ID]; ok && j >= 0 && j < len(firstSlot) {
+				return j
+			}
 		}
 		_, j := cm.StandaloneCost(i)
 		return j
@@ -91,55 +99,52 @@ func (w *WarmStart) Seed(cm *CostModel) ([]int, error) {
 		remaining[s] = in.Chargers[j].Capacity // 0 = unlimited
 	}
 	fitter := newBudgetFitter(cm, chargerOf)
-	fits := func(i, s int) bool {
-		ch := in.Chargers[chargerOf[s]]
-		if ch.Capacity > 0 && in.Devices[i].Demand/ch.Efficiency > remaining[s]*(1+1e-12) {
-			return false
-		}
-		return fitter.fits(i, s)
-	}
-	take := func(i, s int) {
-		init[i] = s
-		fitter.take(i, s)
-		if in.Chargers[chargerOf[s]].Capacity > 0 {
-			remaining[s] -= in.Devices[i].Demand / in.Chargers[chargerOf[s]].Efficiency
-		}
-	}
 	for _, i := range order {
-		placed := false
-		j := target(i)
-		for s := firstSlot[j]; s < len(chargerOf) && chargerOf[s] == j; s++ {
-			if fits(i, s) {
-				take(i, s)
-				placed = true
-				break
+		s := seatSlot(cm, chargerOf, firstSlot, i, target(i), func(s int) bool {
+			ch := &in.Chargers[chargerOf[s]]
+			if ch.Capacity > 0 && in.Devices[i].Demand/ch.Efficiency > remaining[s]*(1+1e-12) {
+				return false
 			}
-		}
-		if placed {
-			continue
-		}
-		// Target charger full: cheapest feasible slot anywhere, the
-		// cold-start packing rule.
-		bestS, bestCost := -1, 0.0
-		for s, jj := range chargerOf {
-			if !fits(i, s) {
-				continue
-			}
-			if c := cm.SessionCost([]int{i}, jj); bestS < 0 || c < bestCost {
-				bestS, bestCost = s, c
-			}
-		}
-		if bestS < 0 {
+			return fitter.fits(i, s)
+		})
+		if s < 0 {
 			return nil, &seedError{id: in.Devices[i].ID}
 		}
-		take(i, bestS)
+		init[i] = s
+		fitter.take(i, s)
+		if ch := &in.Chargers[chargerOf[s]]; ch.Capacity > 0 {
+			remaining[s] -= in.Devices[i].Demand / ch.Efficiency
+		}
 	}
 	return init, nil
+}
+
+// seatSlot is the one-device seating rule shared by the seed packer and
+// the repair path's newcomer seating: the first slot of charger target
+// that room accepts, else the slot room accepts with the cheapest
+// singleton session (lowest index on ties). It returns -1 when room
+// accepts no slot.
+func seatSlot(cm *CostModel, chargerOf, firstSlot []int, i, target int, room func(s int) bool) int {
+	for s := firstSlot[target]; s < len(chargerOf) && chargerOf[s] == target; s++ {
+		if room(s) {
+			return s
+		}
+	}
+	best, bestCost := -1, 0.0
+	for s, j := range chargerOf {
+		if !room(s) {
+			continue
+		}
+		if c := cm.SessionCost([]int{i}, j); best < 0 || c < bestCost {
+			best, bestCost = s, c
+		}
+	}
+	return best
 }
 
 // seedError reports a device that fits no session slot.
 type seedError struct{ id string }
 
 func (e *seedError) Error() string {
-	return "core: device " + e.id + " fits no session slot: capacities or travel budgets too tight"
+	return "device " + e.id + " fits no session slot: capacities or travel budgets too tight"
 }

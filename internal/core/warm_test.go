@@ -146,51 +146,64 @@ func TestWarmStartResolveConvergesInOnePass(t *testing.T) {
 }
 
 // Seed maps remembered devices to their previous charger and unknown
-// devices to their standalone charger.
+// devices to their standalone charger. A capacity no device set can reach
+// routes Seed through the capacity packer (seatSlot) while every slot
+// still has room, so the mapping must be the same there.
 func TestWarmStartSeedMapsSurvivors(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	in := warmInstance(r, 10, 3, false)
-	cm := mustCostModel(t, in)
-	res, err := CCSGA(cm, CCSGAOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws := NewWarmStart()
-	ws.Record(in, res.Schedule)
-	if ws.Len() != 10 {
-		t.Fatalf("recorded %d devices, want 10", ws.Len())
-	}
+	for _, capacity := range []float64{0, 1e12} {
+		r := rand.New(rand.NewSource(9))
+		in := warmInstance(r, 10, 3, false)
+		for j := range in.Chargers {
+			in.Chargers[j].Capacity = capacity
+		}
+		// Random instances settle every device at its standalone charger,
+		// so record a round-robin schedule: remembered and standalone
+		// chargers then differ for most devices.
+		prevSched := &Schedule{}
+		for j := range in.Chargers {
+			c := Coalition{Charger: j}
+			for i := j; i < len(in.Devices); i += len(in.Chargers) {
+				c.Members = append(c.Members, i)
+			}
+			prevSched.Coalitions = append(prevSched.Coalitions, c)
+		}
+		ws := NewWarmStart()
+		ws.Record(in, prevSched)
+		if ws.Len() != 10 {
+			t.Fatalf("recorded %d devices, want 10", ws.Len())
+		}
 
-	// Survivors keep their equilibrium charger; a brand-new device starts
-	// standalone.
-	next := &Instance{Field: in.Field, Chargers: in.Chargers}
-	next.Devices = append(next.Devices, in.Devices[:6]...)
-	next.Devices = append(next.Devices, Device{
-		ID: "fresh", Pos: geom.Pt(111, 222), Demand: 200, MoveRate: 0.01,
-	})
-	ncm := mustCostModel(t, next)
-	init, err := ws.Seed(ncm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chargerOf, firstSlot := SessionSlots(ncm)
-	prev := make(map[string]int)
-	for _, c := range res.Schedule.Coalitions {
-		for _, i := range c.Members {
-			prev[in.Devices[i].ID] = c.Charger
+		// Survivors keep their equilibrium charger; a brand-new device
+		// starts standalone.
+		next := &Instance{Field: in.Field, Chargers: in.Chargers}
+		next.Devices = append(next.Devices, in.Devices[:6]...)
+		next.Devices = append(next.Devices, Device{
+			ID: "fresh", Pos: geom.Pt(111, 222), Demand: 200, MoveRate: 0.01,
+		})
+		ncm := mustCostModel(t, next)
+		init, err := ws.Seed(ncm)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for i, d := range next.Devices {
-		want, ok := prev[d.ID]
-		if !ok {
-			_, want = ncm.StandaloneCost(i)
+		chargerOf, firstSlot := SessionSlots(ncm)
+		prev := make(map[string]int)
+		for _, c := range prevSched.Coalitions {
+			for _, i := range c.Members {
+				prev[in.Devices[i].ID] = c.Charger
+			}
 		}
-		if got := chargerOf[init[i]]; got != want {
-			t.Errorf("device %s seeded at charger %d, want %d", d.ID, got, want)
+		for i, d := range next.Devices {
+			want, ok := prev[d.ID]
+			if !ok {
+				_, want = ncm.StandaloneCost(i)
+			}
+			if got := chargerOf[init[i]]; got != want {
+				t.Errorf("capacity %g: device %s seeded at charger %d, want %d", capacity, d.ID, got, want)
+			}
 		}
-	}
-	if init[6] != firstSlot[chargerOf[init[6]]] {
-		t.Errorf("uncapacitated seed should use the charger's first slot")
+		if init[6] != firstSlot[chargerOf[init[6]]] {
+			t.Errorf("capacity %g: one slot per charger, so the seed should use the charger's first slot", capacity)
+		}
 	}
 }
 
@@ -222,24 +235,31 @@ func TestWarmStartSeedValidUnderCapacities(t *testing.T) {
 		if err != nil {
 			continue // capacities too tight for any packing: cold start fails too
 		}
-		if _, err := CCSGA(tcm, CCSGAOptions{Init: init}); err != nil {
+		if _, err := ccsgaFrom(tcm, init); err != nil {
 			t.Errorf("seed %d: CCSGA rejected Seed output: %v", seed, err)
 		}
 	}
+}
+
+// ccsgaFrom runs the full CCSGA solve from a caller-supplied starting
+// assignment instead of a carrier's seed.
+func ccsgaFrom(cm *CostModel, init []int) (*CCSGAResult, error) {
+	res, _, _, err := ccsgaSolve(cm, CCSGAOptions{}, nil, init)
+	return res, err
 }
 
 func TestCCSGAInitValidation(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	in := warmInstance(r, 6, 2, false)
 	cm := mustCostModel(t, in)
-	if _, err := CCSGA(cm, CCSGAOptions{Init: []int{0}}); err == nil {
+	if _, err := ccsgaFrom(cm, []int{0}); err == nil {
 		t.Error("short init accepted")
 	}
-	if _, err := CCSGA(cm, CCSGAOptions{Init: []int{0, 0, 0, 0, 0, 99}}); err == nil {
+	if _, err := ccsgaFrom(cm, []int{0, 0, 0, 0, 0, 99}); err == nil {
 		t.Error("out-of-range slot accepted")
 	}
 	ok := []int{0, 1, 0, 1, 0, 1}
-	res, err := CCSGA(cm, CCSGAOptions{Init: ok})
+	res, err := ccsgaFrom(cm, ok)
 	if err != nil {
 		t.Fatalf("valid init rejected: %v", err)
 	}
@@ -262,7 +282,7 @@ func TestCCSGAInitValidation(t *testing.T) {
 	}
 	ccm := mustCostModel(t, capped)
 	all := make([]int, len(capped.Devices)) // everyone in slot 0 overfills it
-	if _, err := CCSGA(ccm, CCSGAOptions{Init: all}); err == nil {
+	if _, err := ccsgaFrom(ccm, all); err == nil {
 		t.Error("overfilled init accepted")
 	}
 }

@@ -11,7 +11,7 @@ import (
 	"repro/internal/obs"
 )
 
-// TestRunExportsObsMetrics pins the registry wiring: a warm-capable
+// TestRunExportsObsMetrics pins the registry wiring: the CCSGA
 // scheduler's per-round diagnostics land in the labeled online_* series,
 // and the counter values agree exactly with the returned Metrics.
 func TestRunExportsObsMetrics(t *testing.T) {

@@ -97,23 +97,19 @@ type Config struct {
 	// charger, new arrivals start standalone. The batching, serving and
 	// accounting semantics are unchanged; only the solver's starting
 	// point differs, so the dynamics may land on a different (still
-	// pure-Nash) equilibrium. Requires a Scheduler implementing
-	// core.WarmScheduler, e.g. core.CCSGAScheduler. The round instances
-	// are additionally maintained incrementally (CostModel.AddDevice /
-	// RemoveDevice) instead of being rebuilt from scratch.
+	// pure-Nash) equilibrium. Requires a core.CCSGAScheduler. With Shard
+	// set it changes nothing: sharded rounds always carry per-shard warm
+	// state.
 	WarmStart bool
 	// Shard, when Shard.CellSize > 0, solves each round spatially
 	// sharded: the field is gridded once, each cell's chargers form a
 	// sub-instance solved by a warm-started per-shard CCSGA in parallel,
 	// and boundary devices are reconciled through Shard.Overlap (see
 	// internal/shard). The per-shard warm carriers persist across
-	// rounds, so recurring workloads re-solve only the perturbation —
-	// sharding replaces rather than composes with WarmStart (setting
-	// both is an error: the global incrementally-patched CostModel that
-	// WarmStart maintains is exactly the O(devices × chargers) table
-	// sharding exists to avoid). Requires a core.WarmScheduler and a
-	// non-degenerate Field. The zero value leaves every code path —
-	// and every output byte — exactly as without this field.
+	// rounds, so recurring workloads re-solve only the perturbation.
+	// Requires a core.CCSGAScheduler and a non-degenerate Field. The zero
+	// value leaves every code path — and every output byte — exactly as
+	// without this field.
 	Shard shard.Config
 	// Obs, when non-nil, receives the run's solver diagnostics as
 	// labeled metrics (rounds, served devices, batch sizes, CCSGA
@@ -168,7 +164,7 @@ func (cfg Config) instruments() obsInstruments {
 }
 
 // RoundStat is one scheduling round's solver diagnostics, reported when
-// the scheduler exposes them (core.WarmScheduler implementations).
+// the scheduler exposes them (core.CCSGAScheduler).
 type RoundStat struct {
 	// At is the round's service time, seconds.
 	At float64
@@ -232,19 +228,22 @@ func Run(cfg Config) (*Metrics, error) {
 	case cfg.Scheduler == nil:
 		return nil, errors.New("online: nil scheduler")
 	}
-	warmSched, warmOK := cfg.Scheduler.(core.WarmScheduler)
-	if cfg.WarmStart && !warmOK {
-		return nil, fmt.Errorf("online: WarmStart requires a core.WarmScheduler, got %s", cfg.Scheduler.Name())
+	var ccsga *core.CCSGAScheduler
+	switch s := cfg.Scheduler.(type) {
+	case core.CCSGAScheduler:
+		ccsga = &s
+	case *core.CCSGAScheduler:
+		ccsga = s
+	}
+	if cfg.WarmStart && ccsga == nil {
+		return nil, fmt.Errorf("online: WarmStart requires the CCSGA scheduler, got %s", cfg.Scheduler.Name())
 	}
 	var planner *shard.Planner
 	if cfg.Shard.CellSize > 0 {
-		if !warmOK {
-			return nil, fmt.Errorf("online: Shard requires a core.WarmScheduler, got %s", cfg.Scheduler.Name())
+		if ccsga == nil {
+			return nil, fmt.Errorf("online: Shard requires the CCSGA scheduler, got %s", cfg.Scheduler.Name())
 		}
-		if cfg.WarmStart {
-			return nil, errors.New("online: Shard and WarmStart are mutually exclusive (sharding carries warm state per shard)")
-		}
-		p, err := shard.NewPlanner(cfg.Field, cfg.Chargers, warmSched, cfg.Shard)
+		p, err := shard.NewPlanner(cfg.Field, cfg.Chargers, ccsga, cfg.Shard)
 		if err != nil {
 			return nil, fmt.Errorf("online: %w", err)
 		}
@@ -283,39 +282,11 @@ func Run(cfg Config) (*Metrics, error) {
 		// being rescanned at every decision point.
 		forcedMin = math.Inf(1)
 	)
-	// Warm-start state: the equilibrium carrier plus a persistent round
-	// instance whose cost model is patched incrementally as devices
-	// arrive and are served.
-	var (
-		ws     *core.WarmStart
-		warmIn *core.Instance
-		warmCM *core.CostModel
-	)
+	// The equilibrium carrier that seeds each whole-field round from the
+	// last one; nil (the cold start) unless WarmStart.
+	var ws *core.WarmStart
 	if cfg.WarmStart {
 		ws = core.NewWarmStart()
-		warmIn = &core.Instance{Field: cfg.Field, Chargers: cfg.Chargers}
-	}
-	admit := func(a Arrival) error {
-		waiting = append(waiting, a)
-		if d := a.Deadline - guard; d < forcedMin {
-			forcedMin = d
-		}
-		if !cfg.WarmStart {
-			return nil
-		}
-		if warmCM == nil {
-			warmIn.Devices = append(warmIn.Devices, a.Device)
-			cm, err := core.NewCostModel(warmIn)
-			if err != nil {
-				return fmt.Errorf("online: admit %s: %w", a.Device.ID, err)
-			}
-			warmCM = cm
-			return nil
-		}
-		if err := warmCM.AddDevice(a.Device); err != nil {
-			return fmt.Errorf("online: admit %s: %w", a.Device.ID, err)
-		}
-		return nil
 	}
 	// account settles the served batch's waiting-time and deadline
 	// bookkeeping and resets the batch state — shared by the sharded and
@@ -343,11 +314,11 @@ func Run(cfg Config) (*Metrics, error) {
 		if len(waiting) == 0 {
 			return nil
 		}
+		devs := make([]core.Device, len(waiting))
+		for i, a := range waiting {
+			devs[i] = a.Device
+		}
 		if planner != nil {
-			devs := make([]core.Device, len(waiting))
-			for i, a := range waiting {
-				devs[i] = a.Device
-			}
 			res, err := planner.Solve(devs)
 			if err != nil {
 				return fmt.Errorf("online: round at %v: %w", now, err)
@@ -376,32 +347,16 @@ func Run(cfg Config) (*Metrics, error) {
 			account(now)
 			return nil
 		}
-		var (
-			cm  *core.CostModel
-			err error
-		)
-		if cfg.WarmStart {
-			cm = warmCM
-		} else {
-			in := &core.Instance{Field: cfg.Field, Chargers: cfg.Chargers}
-			for _, a := range waiting {
-				in.Devices = append(in.Devices, a.Device)
-			}
-			cm, err = core.NewCostModel(in)
-			if err != nil {
-				return fmt.Errorf("online: round at %v: %w", now, err)
-			}
+		cm, err := core.NewCostModel(&core.Instance{Field: cfg.Field, Chargers: cfg.Chargers, Devices: devs})
+		if err != nil {
+			return fmt.Errorf("online: round at %v: %w", now, err)
 		}
 		var sched *core.Schedule
-		if warmOK {
-			// Warm-capable schedulers run through ScheduleWarm so the
-			// round reports solver diagnostics; with WarmStart off the
-			// nil carrier makes this exactly the cold Schedule path.
-			var carrier *core.WarmStart
-			if cfg.WarmStart {
-				carrier = ws
-			}
-			res, err := warmSched.ScheduleWarm(cm, carrier)
+		if ccsga != nil {
+			// CCSGA runs through ScheduleWarm so the round reports solver
+			// diagnostics; with WarmStart off the nil carrier makes this
+			// exactly the cold Schedule path.
+			res, err := ccsga.ScheduleWarm(cm, ws)
 			if err != nil {
 				return fmt.Errorf("online: round at %v: %w", now, err)
 			}
@@ -433,7 +388,7 @@ func Run(cfg Config) (*Metrics, error) {
 			if cerr := cm.ValidateKCoverage(sched, cfg.CoverageK, cfg.CoverageRadius); cerr != nil {
 				m.CoverageViolations++
 				ins.uncovered.Inc()
-				if warmOK {
+				if ccsga != nil {
 					m.RoundStats[len(m.RoundStats)-1].CoverageOK = false
 				}
 			}
@@ -442,15 +397,6 @@ func Run(cfg Config) (*Metrics, error) {
 		m.Rounds++
 		ins.rounds.Inc()
 		account(now)
-		if cfg.WarmStart {
-			// Served devices leave the persistent round instance; popping
-			// from the end keeps each removal O(1).
-			for i := warmCM.NumDevices() - 1; i >= 0; i-- {
-				if err := warmCM.RemoveDevice(i); err != nil {
-					return fmt.Errorf("online: round at %v: %w", now, err)
-				}
-			}
-		}
 		return nil
 	}
 
@@ -473,8 +419,9 @@ func Run(cfg Config) (*Metrics, error) {
 		}
 		// Admit all arrivals at this instant.
 		for idx < len(arrivals) && arrivals[idx].At <= now {
-			if err := admit(arrivals[idx]); err != nil {
-				return nil, err
+			waiting = append(waiting, arrivals[idx])
+			if d := arrivals[idx].Deadline - guard; d < forcedMin {
+				forcedMin = d
 			}
 			idx++
 		}

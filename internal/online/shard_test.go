@@ -82,22 +82,34 @@ func TestShardedRunWorkerDeterminism(t *testing.T) {
 	}
 }
 
-// TestShardConfigValidation pins the wiring contracts: sharding needs a
-// warm-capable scheduler, refuses to combine with WarmStart, and
-// rejects a bad geometry before any round runs.
+// TestShardWithWarmStart pins that the two modes compose: sharded rounds
+// already carry per-shard warm state, so adding WarmStart changes no
+// metric.
+func TestShardWithWarmStart(t *testing.T) {
+	ref, err := Run(shardTestConfig(t, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	both := shardTestConfig(t, 2)
+	both.WarmStart = true
+	m, err := Run(both)
+	if err != nil {
+		t.Fatalf("Shard+WarmStart: %v", err)
+	}
+	if !reflect.DeepEqual(ref, m) {
+		t.Errorf("Shard+WarmStart metrics differ from Shard alone:\n%+v\nvs\n%+v", m, ref)
+	}
+}
+
+// TestShardConfigValidation pins the wiring contracts: sharding needs the
+// CCSGA scheduler and rejects a bad geometry before any round runs.
 func TestShardConfigValidation(t *testing.T) {
 	base := shardTestConfig(t, 1)
 
 	cold := base
 	cold.Scheduler = core.CCSAScheduler{}
-	if _, err := Run(cold); err == nil || !strings.Contains(err.Error(), "WarmScheduler") {
-		t.Errorf("cold scheduler with Shard: got %v, want WarmScheduler error", err)
-	}
-
-	both := base
-	both.WarmStart = true
-	if _, err := Run(both); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Errorf("Shard+WarmStart: got %v, want mutual-exclusion error", err)
+	if _, err := Run(cold); err == nil || !strings.Contains(err.Error(), "requires the CCSGA scheduler") {
+		t.Errorf("cold scheduler with Shard: got %v, want CCSGA-required error", err)
 	}
 
 	bad := base

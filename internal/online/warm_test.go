@@ -51,7 +51,7 @@ func recurringConfig(t *testing.T, seed int64, warm bool) Config {
 // forced-deadline running minimum, the flush fix and the warm-start
 // restructure landed: the online path must produce byte-identical results
 // when warm starts are disabled, for both plain Schedulers (CCSA) and
-// WarmSchedulers routed through ScheduleWarm with a nil carrier (CCSGA).
+// CCSGA routed through ScheduleWarm with a nil carrier.
 func TestPinnedMetricsUnchanged(t *testing.T) {
 	type pin struct {
 		cost     float64
@@ -194,13 +194,13 @@ func TestFlushBranchServesUnboundedDeadlines(t *testing.T) {
 }
 
 // TestWarmStartRequiresWarmScheduler checks the configuration error for
-// schedulers that cannot carry an equilibrium.
+// schedulers that cannot carry an equilibrium (everything but CCSGA).
 func TestWarmStartRequiresWarmScheduler(t *testing.T) {
 	cfg := testConfig(t, Periodic{Interval: 300})
 	cfg.WarmStart = true // Scheduler is CCSAScheduler
 	_, err := Run(cfg)
-	if err == nil || !strings.Contains(err.Error(), "WarmScheduler") {
-		t.Fatalf("err = %v, want a WarmScheduler requirement error", err)
+	if err == nil || !strings.Contains(err.Error(), "requires the CCSGA scheduler") {
+		t.Fatalf("err = %v, want a CCSGA-required error", err)
 	}
 }
 
@@ -279,7 +279,7 @@ func TestWarmMatchesColdOnOneShotTrace(t *testing.T) {
 	}
 }
 
-// TestRoundStatsReporting: warm-capable schedulers report per-round solver
+// TestRoundStatsReporting: the CCSGA scheduler reports per-round solver
 // diagnostics even on the cold path; plain schedulers report none.
 func TestRoundStatsReporting(t *testing.T) {
 	cfg := testConfig(t, Periodic{Interval: 300})
